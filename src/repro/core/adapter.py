@@ -78,7 +78,7 @@ class QualityAdapter:
         self.buffers = LayerBufferSet(config.layer_rate, config.max_layers)
         self.metrics = QualityMetrics()
         self.filling_policy, self.planner = self._make_policies(config)
-        self.add_drop = AddDropPolicy(config)
+        self.add_drop = AddDropPolicy(config, memo=self.filling_policy.memo)
 
         self.active_layers = 0
         self.playout_started = False
@@ -190,11 +190,7 @@ class QualityAdapter:
 
     def _base_protected_bytes(self) -> Bytes:
         """Base-layer bytes unusable for recovery (stall-margin + flight)."""
-        if self.config.feedback == "ack":
-            margin = self.config.base_floor_bytes
-        else:
-            margin = self.config.base_floor_bytes + self._inflight[0]
-        return min(self.buffers.level(0), margin)
+        return min(self.buffers.level(0), self._base_reserve())
 
     def _drainable_total(self) -> Bytes:
         """Receiver buffering actually available to absorb a deficit."""
@@ -487,14 +483,16 @@ class QualityAdapter:
         self._activate_layer(self.now_fn())
         return True
 
-    def safety_levels(self) -> list[Bytes]:
+    def safety_levels(self,
+                      levels: Optional[list[Bytes]] = None) -> list[Bytes]:
         """Lower bounds on the receiver's true per-layer buffering.
 
         With send-time crediting, the estimate leads the receiver by the
         bytes still in flight; subtracting them gives what has certainly
         arrived. (In "ack" mode the estimate itself is the lower bound.)
+        ``levels`` is a fresh :meth:`buffer_levels` reading, if at hand.
         """
-        levels = self.buffer_levels()
+        levels = self.buffer_levels() if levels is None else levels
         if self.config.feedback == "ack":
             return levels
         return [max(0.0, levels[i] - self._inflight[i])
@@ -506,9 +504,10 @@ class QualityAdapter:
         # floor: consuming layers so they keep playing, and freshly added
         # (not yet consuming) layers as their bootstrap cushion.
         needs_floor = [self.playout_started] * self.active_layers
+        levels = self.buffer_levels()
         decision = self.filling_policy.choose(
-            rate, self.buffer_levels(), self.active_layers, self.slope,
-            needs_floor, safety_levels=self.safety_levels())
+            rate, levels, self.active_layers, self.slope,
+            needs_floor, safety_levels=self.safety_levels(levels))
         if decision.layer is not None:
             return decision.layer
         # Every current-layer target is satisfied: time to add a layer

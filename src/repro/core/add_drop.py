@@ -29,15 +29,20 @@ from typing import Optional, Sequence
 
 from repro.core import formulas
 from repro.core.config import QAConfig
-from repro.core.states import StateSequence
+from repro.core.filling import Memo, new_memo
+from repro.core.states import kmax_targets
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2
 
 
 class AddDropPolicy:
-    """Implements the configured add rule plus the universal drop rule."""
+    """Implements the configured add rule plus the universal drop rule.
 
-    def __init__(self, config: QAConfig) -> None:
+    ``memo`` caches the ``K_max`` targets (the adapter passes its filling
+    policy's)."""
+
+    def __init__(self, config: QAConfig, memo: Optional[Memo] = None) -> None:
         self.config = config
+        self.memo = new_memo() if memo is None else memo
 
     # ------------------------------------------------------------- adding
 
@@ -96,10 +101,8 @@ class AddDropPolicy:
         # add / ride-the-buffers / drop cycles -- the paper's modem
         # example expects the extra layer to be delivered "90% of the
         # time" rather than never.
-        targets = list(StateSequence(
-            rate, cfg.layer_rate, active_layers, slope, cfg.k_max
-        ).final_targets)
-        targets[0] += base_reserve
+        targets = self._reserved_targets(rate, active_layers, slope,
+                                         base_reserve)
         return all(
             buffers[i] + formulas.EPSILON >= targets[i]
             for i in range(active_layers)
@@ -126,13 +129,22 @@ class AddDropPolicy:
         cfg = self.config
         if active_layers >= cfg.max_layers:
             return None
-        targets = list(StateSequence(
-            rate, cfg.layer_rate, active_layers, slope, cfg.k_max
-        ).final_targets)
-        targets[0] += base_reserve
+        targets = self._reserved_targets(rate, active_layers, slope,
+                                         base_reserve)
         return min(
             buffers[i] - targets[i] for i in range(active_layers)
         )
+
+    def _reserved_targets(self, rate: BytesPerSec, active_layers: int,
+                          slope: BytesPerSec2,
+                          base_reserve: Bytes) -> list[Bytes]:
+        """The ``K_max`` targets with ``base_reserve`` added to the base:
+        what :meth:`can_add` requires and :meth:`kmax_margin` reports."""
+        cfg = self.config
+        targets = list(self.memo(kmax_targets, rate, cfg.layer_rate,
+                                 active_layers, slope, cfg.k_max))
+        targets[0] += base_reserve
+        return targets
 
     # ----------------------------------------------------------- dropping
 

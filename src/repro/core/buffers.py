@@ -49,6 +49,8 @@ class LayerBufferSet:
         self.layer_rate = layer_rate
         self.max_layers = max_layers
         self._accounts = [LayerAccount() for _ in range(max_layers)]
+        #: Bytes consumed over all layers, dropped ones included.
+        self.played: Bytes = 0.0
 
     # ---------------------------------------------------------- lifecycle
 
@@ -117,18 +119,21 @@ class LayerBufferSet:
         implemented by it calling :meth:`pause` instead.
         """
         shortfalls: dict[int, float] = {}
+        played = 0.0
         for layer, acct in enumerate(self._accounts):
-            if not acct.active or acct.consuming_since is None:
+            if acct.consuming_since is None:  # implies not active either
                 continue
             dt = now - acct.clock
             if dt <= 0:
                 continue
             want = self.layer_rate * dt
-            take = min(want, max(0.0, acct.level))
+            take = min(want, max(0.0, acct.delivered - acct.consumed))
             acct.consumed += take
+            played += take
             acct.clock = now
             if want - take > 1e-9:
                 shortfalls[layer] = want - take
+        self.played += played
         return shortfalls
 
     def pause(self, now: Seconds) -> None:
@@ -145,12 +150,13 @@ class LayerBufferSet:
 
     def levels(self, active_layers: int) -> list[Bytes]:
         """Base-first buffer levels of the first ``active_layers`` layers."""
-        return [self.level(i) for i in range(active_layers)]
+        return [max(0.0, a.delivered - a.consumed)
+                for a in self._accounts[:active_layers]]
 
     def total(self, active_layers: Optional[int] = None) -> Bytes:
         """Sum of buffered bytes over the first ``active_layers`` layers."""
         n = self.max_layers if active_layers is None else active_layers
-        return sum(self.level(i) for i in range(n))
+        return sum(self.levels(n))
 
     def delivered(self, layer: int) -> Bytes:
         """Cumulative bytes credited to ``layer``."""

@@ -34,12 +34,14 @@ optimal share, so it does not disturb the filling path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core import formulas
 from repro.core.config import QAConfig
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
+from repro.core.states import kmax_targets
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2
 
 #: Runaway guard for the (normally small) scenario-2 search.
@@ -62,41 +64,40 @@ class FillingDecision:
         return f"S{self.working_scenario}k{k}"
 
 
-#: Bound on the exact-argument result caches below; cleared when full.
-_CACHE_LIMIT = 4096
+#: Bound on each policy's memo (least recently used out). Hits come only
+#: from packets sent at the current rate, so a small bound loses none.
+_MEMO_LIMIT = 64
+
+#: ``memo(fn, *args) == fn(*args)`` for the pure share/target functions.
+Memo = Callable[..., tuple[Bytes, ...]]
+
+
+def _apply(fn: Memo, *args: object) -> tuple[Bytes, ...]:
+    return fn(*args)
+
+
+def new_memo() -> Memo:
+    """An empty, bounded memo keyed on the exact arguments; ``typed``
+    keeps an int argument from sharing an entry with an equal float."""
+    return functools.lru_cache(maxsize=_MEMO_LIMIT, typed=True)(_apply)
 
 
 class FillingPolicy:
     """Chooses the layer for each packet sent during a filling phase.
 
-    The per-packet work is dominated by :func:`formulas.scenario_total` /
-    :func:`formulas.scenario_shares` evaluations whose inputs (rate,
-    slope, layer count) repeat for long packet runs between rate changes.
-    Results are memoized on their exact float arguments — a pure-function
-    cache, so every returned value is bit-identical to the uncached
-    computation and golden traces are unaffected.
+    The per-packet work is dominated by :func:`formulas.scenario_shares`
+    and :func:`~repro.core.states.kmax_targets` evaluations whose inputs
+    (rate, slope, layer count) repeat for long packet runs between rate
+    changes. Both go through one per-policy :data:`Memo` (``memo``; the
+    adapter shares it with its add/drop policy) that starts empty and
+    holds at most ``_MEMO_LIMIT`` results. It caches pure functions on
+    their exact arguments, so every returned value is bit-identical to
+    the uncached computation and golden traces are unaffected.
     """
 
     def __init__(self, config: QAConfig) -> None:
         self.config = config
-        self._shares_cache: dict[
-            tuple[float, int, float, int, int], tuple[float, ...]
-        ] = {}
-
-    def _shares(
-        self, rate: BytesPerSec, na: int, slope: BytesPerSec2, k: int,
-        scenario: int
-    ) -> tuple[Bytes, ...]:
-        """Memoized :func:`formulas.scenario_shares` (layer_rate is fixed)."""
-        key = (rate, na, slope, k, scenario)
-        cached = self._shares_cache.get(key)
-        if cached is None:
-            cached = formulas.scenario_shares(
-                rate, self.config.layer_rate, na, slope, k, scenario)
-            if len(self._shares_cache) >= _CACHE_LIMIT:
-                self._shares_cache.clear()
-            self._shares_cache[key] = cached
-        return cached
+        self.memo = new_memo()
 
     def choose(
         self,
@@ -166,10 +167,8 @@ class FillingPolicy:
             # distribution itself is complete per layer (the pseudocode's
             # total-based loops can leave a middle layer below its share
             # while the base over-fills, which would stall the add rule).
-            from repro.core.states import StateSequence
-
-            targets = StateSequence(rate, cfg.layer_rate, na, slope,
-                                    cfg.k_max).final_targets
+            targets = self.memo(kmax_targets, rate, cfg.layer_rate, na,
+                                slope, cfg.k_max)
             for layer in range(na):
                 if targets[layer] > buffers[layer] + formulas.EPSILON:
                     return FillingDecision(layer, s1_k, s2_k,
@@ -177,10 +176,12 @@ class FillingPolicy:
 
         s1_pending = s1_k <= cfg.k_max
         shares1 = (
-            self._shares(rate, na, slope, s1_k, SCENARIO_ONE)
+            self.memo(formulas.scenario_shares, rate, cfg.layer_rate, na,
+                      slope, s1_k, SCENARIO_ONE)
             if s1_pending else None
         )
-        shares2 = self._shares(rate, na, slope, s2_k, SCENARIO_TWO)
+        shares2 = self.memo(formulas.scenario_shares, rate, cfg.layer_rate,
+                            na, slope, s2_k, SCENARIO_TWO)
 
         if shares1 is not None and req1 <= req2:
             # Working towards the scenario-1 state.

@@ -25,11 +25,11 @@ two backends on the paper-figure quantities.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core import formulas
 from repro.core.config import QAConfig
-from repro.core.states import StateSequence
+from repro.core.states import kmax_targets
 
 # Re-exported: the tolerance itself is centralized (RL009 discipline).
 from repro.core.tolerances import TIME_TOLERANCE as TIME_TOLERANCE
@@ -98,9 +98,8 @@ def add_requirement(rate: BytesPerSec, config: QAConfig,
     sequence is met, and §2.1's condition 2 (one further backoff with
     the new layer) holds, exactly when the *total* clears this level.
     """
-    targets = StateSequence(
-        rate, config.layer_rate, active_layers, slope, config.k_max
-    ).final_targets
+    targets = kmax_targets(rate, config.layer_rate, active_layers, slope,
+                           config.k_max)
     condition2 = formulas.one_backoff_requirement(
         rate, config.consumption(active_layers + 1), slope)
     return base_reserve + max(formulas.share_sum(targets), condition2)
@@ -150,9 +149,8 @@ def split_total(total: Bytes, rate: BytesPerSec, config: QAConfig,
     if active_layers < 1:
         return []
     path_rate: BytesPerSec = max(rate, config.consumption(active_layers))
-    targets = list(StateSequence(
-        path_rate, config.layer_rate, active_layers, slope, config.k_max
-    ).final_targets)
+    targets = kmax_targets(path_rate, config.layer_rate, active_layers,
+                           slope, config.k_max)
     caps: list[Bytes] = []
     for layer in range(active_layers):
         floor: Bytes = (config.base_floor_bytes if layer == 0
@@ -212,10 +210,3 @@ def conservation_error(sent: Bytes, consumed: Bytes, discarded: Bytes,
     the receiver *wanted*; see ``FluidQAFlow``).
     """
     return sent - consumed - discarded - buffered + stalled
-
-
-def mean_of_samples(values: Sequence[float]) -> float:
-    """Plain mean used by batch summaries (0.0 for an empty sequence)."""
-    if not values:
-        return 0.0
-    return sum(values) / len(values)

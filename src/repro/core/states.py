@@ -18,9 +18,10 @@ state it has passed.
 - operationally, by the draining planner (section 4.2), which walks the
   same path backwards.
 
-The per-packet filling algorithm (:mod:`repro.core.filling`) does not read
-a precomputed sequence -- following the paper's pseudocode it recomputes
-its working state on the fly -- but the two agree (tested).
+The per-packet filling algorithm (:mod:`repro.core.filling`) follows the
+paper's pseudocode and recomputes its working state on the fly; it, the
+add rule and the fluid solver read the path's final targets from
+:func:`kmax_targets`, equal to ``StateSequence(...).final_targets``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,31 @@ class BufferState:
         return f"S{self.scenario}k{self.k}"
 
 
+def _state_keys(rate: BytesPerSec, layer_rate: BytesPerSec,
+                active_layers: int, k_max: int) -> Iterator[tuple[int, int]]:
+    """The ``(k, scenario)`` pairs of one sequence, in generation order."""
+    k1 = formulas.k1_backoffs(rate, active_layers * layer_rate)
+    for k in range(1, k_max + 1):
+        for scenario in (SCENARIO_ONE, SCENARIO_TWO):
+            if scenario == SCENARIO_TWO and k <= k1:
+                continue  # identical to scenario 1 at this k
+            yield k, scenario
+
+
+def kmax_targets(rate: BytesPerSec, layer_rate: BytesPerSec,
+                 active_layers: int, slope: BytesPerSec2,
+                 k_max: int) -> tuple[Bytes, ...]:
+    """``StateSequence(...).final_targets``, bit for bit, without the
+    sort: an element-wise ``max`` ignores order and returns one of its
+    inputs, so the running max over the raw shares is the same."""
+    running = [0.0] * active_layers
+    for k, scenario in _state_keys(rate, layer_rate, active_layers, k_max):
+        shares = formulas.scenario_shares(rate, layer_rate, active_layers,
+                                          slope, k, scenario)
+        running = [max(a, b) for a, b in zip(running, shares)]
+    return tuple(running)
+
+
 class StateSequence:
     """The ordered, monotone sequence of buffer states for one situation.
 
@@ -94,18 +120,15 @@ class StateSequence:
 
     def _raw_states(self) -> list[BufferState]:
         consumption = self.active_layers * self.layer_rate
-        k1 = formulas.k1_backoffs(self.rate, consumption)
         raw: list[BufferState] = []
-        for k in range(1, self.k_max + 1):
-            for scenario in (SCENARIO_ONE, SCENARIO_TWO):
-                if scenario == SCENARIO_TWO and k <= k1:
-                    continue  # identical to scenario 1 at this k
-                total = formulas.scenario_total(
-                    self.rate, consumption, self.slope, k, scenario)
-                shares = formulas.scenario_shares(
-                    self.rate, self.layer_rate, self.active_layers,
-                    self.slope, k, scenario)
-                raw.append(BufferState(scenario, k, total, shares))
+        for k, scenario in _state_keys(self.rate, self.layer_rate,
+                                       self.active_layers, self.k_max):
+            total = formulas.scenario_total(
+                self.rate, consumption, self.slope, k, scenario)
+            shares = formulas.scenario_shares(
+                self.rate, self.layer_rate, self.active_layers,
+                self.slope, k, scenario)
+            raw.append(BufferState(scenario, k, total, shares))
         return raw
 
     def _build(self) -> list[BufferState]:
@@ -134,8 +157,6 @@ class StateSequence:
     @property
     def final_targets(self) -> tuple[Bytes, ...]:
         """Per-layer targets whose satisfaction allows adding a layer."""
-        if not self.states:
-            return tuple([0.0] * self.active_layers)
         return self.states[-1].effective_shares
 
     def position(self, buffers: Sequence[Bytes]) -> int:

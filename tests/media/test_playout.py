@@ -1,6 +1,10 @@
 """Unit tests for the client playout engine."""
 
+from datetime import timedelta
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.media.playout import PlayoutBuffer
 
@@ -142,3 +146,33 @@ class TestServerSync:
         po.on_packet(0.0, 1, 500)
         assert po.total_buffered() == 1500
         assert po.levels() == [1000, 500]
+
+
+class TestPlayedBytes:
+    def test_drop_does_not_take_played_bytes_back(self):
+        po = PlayoutBuffer(1000.0, 4, 0.0)
+        po.on_packet(0.0, 0, 5000)
+        po.on_packet(0.0, 1, 5000)
+        po.advance(2.0)
+        assert po.stats.played_bytes == pytest.approx(4000)
+        po.on_packet(2.6, 0, 500, server_active=1)  # the server dropped 1
+        assert po.stats.played_bytes == pytest.approx(5200)
+        po.advance(3.0)  # layer 1's 2600 bytes stay counted
+        assert po.stats.played_bytes == pytest.approx(5600)
+
+    @seed(20_261_017)
+    @settings(max_examples=200, deadline=timedelta(milliseconds=500))
+    @given(packets=st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=0.5),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=3000),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    ), max_size=80))
+    def test_played_bytes_never_decrease(self, packets):
+        po = PlayoutBuffer(1000.0, 4, 0.5, layer_start_threshold=200.0)
+        now, played = 0.0, 0.0
+        for gap, layer, size, server_active in packets:
+            now += gap
+            po.on_packet(now, layer, size, server_active=server_active)
+            assert po.stats.played_bytes >= played
+            played = po.stats.played_bytes

@@ -1,13 +1,13 @@
 """RL008: scheduler determinism at equal timestamps.
 
-The event core orders equal-time events by ``(priority, seq)`` -- PR 3's
-hand-written ``Event.__lt__``. A call site that schedules at a
-potentially-equal timestamp (periodic ticks, zero-delay forwards,
-simultaneous session starts) and *omits* the priority leans on whatever
-the default happens to be; if a refactor of ``__lt__`` or of the default
-ever reorders ties, every golden trace shifts silently. Requiring the
-tiebreaker to be explicit at the call site turns that silent
-reordering into a loud diff.
+The event core orders equal-time events by ``(priority, seq)`` -- the
+``(time, priority, seq, event)`` heap entries of ``repro.sim.engine``.
+A call site that schedules at a potentially-equal timestamp (periodic
+ticks, zero-delay forwards, simultaneous session starts) and *omits* the
+priority leans on whatever the default happens to be; if a refactor of
+the heap key or of the default ever reorders ties, every golden trace
+shifts silently. Requiring the tiebreaker to be explicit at the call
+site turns that silent reordering into a loud diff.
 
 Every ``schedule``/``schedule_at``/``schedule_many`` call must therefore
 pass ``priority`` explicitly -- unless the timestamp expression flows an

@@ -1,22 +1,23 @@
 """Discrete-event simulation engine.
 
-A minimal, deterministic event loop. Events are ``(time, priority, seq)``
-ordered; ``seq`` is a monotonically increasing tie-breaker so that events
-scheduled earlier run earlier at equal timestamps, which keeps runs fully
-reproducible.
+A minimal, deterministic event loop. Events run in ``(time, priority,
+seq)`` order; ``seq`` is a monotonically increasing tie-breaker so that
+events scheduled earlier run earlier at equal timestamps, which keeps
+runs fully reproducible.
 
-This module is the hot path of every packet-level experiment, so the
-event record is a ``__slots__`` class with a hand-written ``__lt__``
-(early exit on the common unequal-time case), callbacks may carry a
-pre-bound argument tuple instead of forcing callers to allocate a closure
-per packet, and :meth:`Simulator.schedule_many` amortizes heap pushes for
+This module is the hot path of every packet-level experiment. The heap
+holds ``(time, priority, seq, event)`` tuples, so ``heapq`` compares
+entries in C and never calls back into Python; ``seq`` is unique, so
+the ``event`` slot is never compared. Callbacks may carry a pre-bound
+argument tuple instead of forcing callers to allocate a closure per
+packet, and :meth:`Simulator.schedule_many` amortizes heap pushes for
 bulk scheduling.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 
@@ -25,47 +26,28 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, as returned by :meth:`Simulator.schedule`.
 
-    Events compare by ``(time, priority, seq)``. ``cancelled`` events stay in
+    Events are handles, not heap keys: the heap orders its entries by
+    the ``(time, priority, seq)`` prefix. ``cancelled`` events stay in
     the heap but are skipped when popped (lazy deletion). ``args`` (when
     non-empty) are passed to ``callback`` at fire time, which lets hot
     paths schedule bound methods with a payload instead of building a
     fresh closure for every packet.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        seq: int,
         callback: Callable[..., None],
         args: tuple[Any, ...] = (),
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.priority, self.seq) == (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def cancel(self) -> None:
         """Mark this event so it will be skipped when its time comes."""
@@ -73,7 +55,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.6f}, prio={self.priority}, seq={self.seq}{flag})"
+        return f"Event(t={self.time:.6f}{flag})"
 
 
 class Simulator:
@@ -91,7 +73,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -123,9 +105,13 @@ class Simulator:
         ``args`` (when given) are stored on the event and passed to the
         callback at fire time — the closure-free way to bind a payload.
         """
-        if delay < 0:
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not (delay >= 0):
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, priority, args)
+        time = self._now + delay
+        event = Event(time, callback, args)
+        heappush(self._heap, (time, priority, next(self._seq), event))
+        return event
 
     def schedule_at(
         self,
@@ -135,12 +121,12 @@ class Simulator:
         args: tuple[Any, ...] = (),
     ) -> Event:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self._now:
+        if not (time >= self._now):
             raise ValueError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time, priority, next(self._seq), callback, args)
-        heapq.heappush(self._heap, event)
+        event = Event(time, callback, args)
+        heappush(self._heap, (time, priority, next(self._seq), event))
         return event
 
     def schedule_many(
@@ -156,44 +142,43 @@ class Simulator:
         ``heapify`` instead of N pushes.
         """
         now = self._now
-        batch: list[Event] = []
+        seq = self._seq
+        batch: list[tuple[float, int, int, Event]] = []
         for delay, callback in items:
-            if delay < 0:
+            if not (delay >= 0):
                 raise ValueError(
                     f"cannot schedule in the past (delay={delay})"
                 )
-            batch.append(
-                Event(now + delay, priority, next(self._seq), callback)
-            )
-        if not batch:
-            return batch
+            time = now + delay
+            batch.append((time, priority, next(seq), Event(time, callback)))
         heap = self._heap
         # N pushes cost O(N log H); extend+heapify costs O(H + N). Prefer
         # the rebuild once the batch is a sizeable fraction of the heap.
         if len(batch) * 4 >= len(heap):
             heap.extend(batch)
-            heapq.heapify(heap)
+            heapify(heap)
         else:
-            push = heapq.heappush
-            for event in batch:
-                push(heap, event)
-        return batch
+            for entry in batch:
+                heappush(heap, entry)
+        return [entry[3] for entry in batch]
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the heap is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the single next event. Returns False when nothing is pending."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, _, event = heappop(heap)
             if event.cancelled:
                 continue
-            if event.time < self._now:
+            if time < self._now:
                 raise SimulationError("event heap yielded an event in the past")
-            self._now = event.time
+            self._now = time
             self._events_processed += 1
             if event.args:
                 event.callback(*event.args)
@@ -236,22 +221,22 @@ class Simulator:
             return
         self._running = True
         heap = self._heap
-        pop = heapq.heappop
+        limit = float("inf") if until is None else until
         processed = 0
         try:
             while self._running and heap:
-                event = heap[0]
+                time, _, _, event = heap[0]
                 if event.cancelled:
-                    pop(heap)
+                    heappop(heap)
                     continue
-                if until is not None and event.time > until:
+                if time > limit:
                     break
-                pop(heap)
-                if event.time < self._now:
+                heappop(heap)
+                if time < self._now:
                     raise SimulationError(
                         "event heap yielded an event in the past"
                     )
-                self._now = event.time
+                self._now = time
                 self._events_processed += 1
                 if event.args:
                     event.callback(*event.args)
@@ -262,10 +247,11 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (runaway sim?)"
                     )
+            # A stop() leaves the clock at the event that asked for it.
+            if self._running and until is not None and self._now < until:
+                self._now = until
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
 
     def _run_observed(
         self, until: Optional[float] = None, max_events: int = 0
@@ -281,22 +267,22 @@ class Simulator:
         assert timer is not None and record is not None
         self._running = True
         heap = self._heap
-        pop = heapq.heappop
+        limit = float("inf") if until is None else until
         processed = 0
         try:
             while self._running and heap:
-                event = heap[0]
+                time, _, _, event = heap[0]
                 if event.cancelled:
-                    pop(heap)
+                    heappop(heap)
                     continue
-                if until is not None and event.time > until:
+                if time > limit:
                     break
-                pop(heap)
-                if event.time < self._now:
+                heappop(heap)
+                if time < self._now:
                     raise SimulationError(
                         "event heap yielded an event in the past"
                     )
-                self._now = event.time
+                self._now = time
                 self._events_processed += 1
                 started = timer()
                 if event.args:
@@ -309,13 +295,18 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (runaway sim?)"
                     )
+            # A stop() leaves the clock at the event that asked for it.
+            if self._running and until is not None and self._now < until:
+                self._now = until
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
 
     def stop(self) -> None:
-        """Stop a :meth:`run` in progress after the current event."""
+        """Stop a :meth:`run` in progress after the current event.
+
+        The clock stays at that event's time, not at the run's ``until``,
+        so the events still pending are not left in the past.
+        """
         self._running = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -131,17 +131,12 @@ class Link:
         if hook is not None:
             hook(float(packet.size))
         # Propagation: deliver after `delay`; the transmitter frees up now.
-        self.sim.schedule(
-            self.delay, self._deliver, priority=0, args=(packet,)
-        )
-        if len(self.queue) > 0:
-            self._start_transmission()
-        else:
-            self._busy = False
-
-    def _deliver(self, packet: Packet) -> None:
+        # send() refuses packets until a receiver is connected.
         assert self.receiver is not None
-        self.receiver(packet)
+        self.sim.schedule(
+            self.delay, self.receiver, priority=0, args=(packet,)
+        )
+        self._start_transmission()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

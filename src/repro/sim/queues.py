@@ -48,16 +48,11 @@ class DropTailQueue:
         """Bytes currently queued."""
         return self._bytes
 
-    def _would_overflow(self, packet: Packet) -> bool:
-        if self.capacity_packets and len(self._queue) + 1 > self.capacity_packets:
-            return True
-        if self.capacity_bytes and self._bytes + packet.size > self.capacity_bytes:
-            return True
-        return False
-
     def enqueue(self, packet: Packet) -> bool:
         """Add ``packet``; returns False (and records a drop) on overflow."""
-        if self._would_overflow(packet):
+        if (self.capacity_packets and len(self._queue) >= self.capacity_packets) or (
+            self.capacity_bytes and self._bytes + packet.size > self.capacity_bytes
+        ):
             self.drops += 1
             if self.on_drop is not None:
                 self.on_drop(packet)

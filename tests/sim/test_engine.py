@@ -31,6 +31,30 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), -float("inf")])
+    def test_nan_or_negative_infinite_delay_rejected(self, sim, delay):
+        with pytest.raises(ValueError):
+            sim.schedule(delay, lambda: None, priority=0)
+
+    def test_nan_time_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), lambda: None, priority=0)
+
+    def test_nan_delay_in_batch_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.schedule_many([(1.0, lambda: None),
+                               (float("nan"), lambda: None)], priority=0)
+
+    def test_rejected_nan_leaves_the_clock_and_order_intact(self, sim):
+        order = []
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: order.append("nan"), priority=0)
+        for delay, name in ((1.0, "b"), (0.5, "a"), (2.0, "c")):
+            sim.schedule(delay, lambda n=name: order.append(n), priority=0)
+        sim.run(until=3.0)
+        assert order == ["a", "b", "c"]
+        assert sim.now == 3.0
+
     def test_schedule_in_past_rejected(self, sim):
         sim.schedule(5.0, lambda: None)
         sim.run()
@@ -119,6 +143,15 @@ class TestRun:
         sim.run()
         assert hits == [1, sim.stop()] or hits[0] == 1
         assert len([h for h in hits if h == 2]) == 0
+
+    def test_stop_leaves_clock_at_stopping_event(self, sim):
+        sim.schedule(1.0, sim.stop, priority=0)
+        sim.schedule(2.0, lambda: None, priority=0)
+        sim.run(until=5.0)
+        assert sim.now == 1.0
+        # The event left behind is not in the past: it still runs.
+        assert sim.step() is True
+        assert sim.now == 2.0
 
     def test_events_processed_counter(self, sim):
         for t in (1.0, 2.0):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.scenario import QAFlowSpec, Scenario, ScenarioConfig
 from repro.sim.engine import Simulator
+from repro.sim.topology import DumbbellConfig
 from repro.telemetry import MetricsRegistry, instrument_engine
 
 
@@ -92,3 +94,54 @@ class TestObservedLoopEquivalence:
         assert drive(plain) == drive(observed)
         assert plain.now == observed.now
         assert plain.events_processed == observed.events_processed
+
+    def test_dumbbell_scenario_dispatches_identically(self, monkeypatch):
+        """A packet-level dumbbell: same dispatches, same QA outcome."""
+        # Keyed by the simulator itself, which keeps it alive: an id()
+        # key could be reused by the second run's simulator.
+        logs: dict[Simulator, list[tuple[float, str]]] = {}
+
+        def logged(sim, callback):
+            log = logs.setdefault(sim, [])
+            name = getattr(callback, "__qualname__", type(callback).__name__)
+
+            def dispatch(*args):
+                log.append((sim.now, name))
+                callback(*args)
+
+            return dispatch
+
+        schedule, schedule_at = Simulator.schedule, Simulator.schedule_at
+        schedule_many = Simulator.schedule_many
+        monkeypatch.setattr(
+            Simulator, "schedule",
+            lambda sim, delay, callback, priority=0, args=(): schedule(
+                sim, delay, logged(sim, callback), priority, args))
+        monkeypatch.setattr(
+            Simulator, "schedule_at",
+            lambda sim, time, callback, priority=0, args=(): schedule_at(
+                sim, time, logged(sim, callback), priority, args))
+        monkeypatch.setattr(
+            Simulator, "schedule_many",
+            lambda sim, items, priority=0: schedule_many(
+                sim, [(d, logged(sim, cb)) for d, cb in items], priority))
+
+        def drive(observed: bool):
+            scenario = Scenario(ScenarioConfig(
+                flows=(QAFlowSpec(label="qa0"),
+                       QAFlowSpec(label="qa1", start=0.3)),
+                topology=DumbbellConfig(bottleneck_bandwidth=100_000.0,
+                                        queue_capacity_packets=50),
+                duration=8.0, seed=1, telemetry=False))
+            if observed:
+                instrument_engine(scenario.sim, MetricsRegistry(),
+                                  fake_timer())
+            result = scenario.run()
+            summaries = [flow.session.metrics.summary()
+                         for flow in result.flows]
+            return (logs[scenario.sim], summaries, scenario.sim.now,
+                    scenario.sim.events_processed)
+
+        plain, observed = drive(False), drive(True)
+        assert len(logs) == 2 and len(plain[0]) > 1_000
+        assert plain == observed

@@ -43,6 +43,7 @@ from repro.lint.rules import default_rules
 from repro.lint.rules.base import FileContext, FlowRule, Rule
 from repro.lint.suppressions import Directive, Suppressions
 from repro.lint.violations import Violation, build_report
+from repro.lint.walk import Walker
 
 #: Pseudo-code for files the analyzer cannot parse.
 SYNTAX_ERROR_CODE = "RL000"
@@ -101,7 +102,7 @@ class FileEntry:
 
 
 def _make_entry(
-    path: pathlib.Path, display: str, source: str
+    path: pathlib.Path, display: str, source: str, walk: Walker
 ) -> FileEntry:
     suppressions = Suppressions.scan(source)
     try:
@@ -125,15 +126,19 @@ def _make_entry(
         display=display,
         suppressions=suppressions,
         ctx=FileContext(
-            path=path, display_path=display, source=source, tree=tree
+            path=path,
+            display_path=display,
+            source=source,
+            tree=tree,
+            walk=walk,
         ),
         syntax_violation=None,
     )
 
 
-def _load_files(paths: Sequence[str]) -> list[FileEntry]:
+def _load_files(paths: Sequence[str], walk: Walker) -> list[FileEntry]:
     return [
-        _make_entry(path, display, path.read_text(encoding="utf-8"))
+        _make_entry(path, display, path.read_text(encoding="utf-8"), walk)
         for path, display in iter_python_files(paths)
     ]
 
@@ -179,6 +184,7 @@ def _run_with_cache(
     paths: Sequence[str],
     rules: Sequence[Rule],
     store: _cache.LintCache,
+    walk: Walker,
     profiler: Optional[Profiler] = None,
 ) -> tuple[list[FileEntry], list[Violation]]:
     """Cache-aware equivalent of ``_load_files`` + ``_raw_violations``.
@@ -261,7 +267,7 @@ def _run_with_cache(
 
     # Partial (or cold): parse everything, re-analyze selectively.
     entries = [
-        _make_entry(path, display, path.read_bytes().decode("utf-8"))
+        _make_entry(path, display, path.read_bytes().decode("utf-8"), walk)
         for path, display in files
     ]
     per_file_rules = [r for r in rules if not isinstance(r, FlowRule)]
@@ -457,6 +463,28 @@ def _run_with_cache(
     return entries, raw
 
 
+def _analyze(
+    paths: Sequence[str],
+    rules: Sequence[Rule],
+    store: Optional[_cache.LintCache],
+    profiler: Optional[Profiler] = None,
+) -> tuple[list[FileEntry], list[Violation]]:
+    """One analysis run, cached or not: (entries, raw violations).
+
+    The run owns one :class:`~repro.lint.walk.Walker` shared by all of
+    its contexts and its project; its memo is dropped on return, so no
+    walk outlives the trees it indexes.
+    """
+    walk = Walker()
+    try:
+        if store is None:
+            entries = _load_files(paths, walk)
+            return entries, _raw_violations(entries, rules, profiler)
+        return _run_with_cache(paths, rules, store, walk, profiler)
+    finally:
+        walk.clear()
+
+
 def _apply_suppressions(
     raw: Sequence[Violation], entries: Sequence[FileEntry]
 ) -> list[Violation]:
@@ -521,13 +549,8 @@ def lint_paths(
     accumulates per-rule wall time when given.
     """
     active = tuple(rules) if rules is not None else default_rules()
-    if cache_dir is not None:
-        entries, raw = _run_with_cache(
-            paths, active, _cache.LintCache(cache_dir), profiler
-        )
-    else:
-        entries = _load_files(paths)
-        raw = _raw_violations(entries, active, profiler)
+    store = _cache.LintCache(cache_dir) if cache_dir is not None else None
+    entries, raw = _analyze(paths, active, store, profiler)
     return sorted(_apply_suppressions(raw, entries)), len(entries)
 
 
@@ -743,17 +766,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rules = default_rules()
 
     profiler = Profiler() if options.profile else None
+    store = (
+        None
+        if options.no_cache
+        else _cache.LintCache(pathlib.Path(options.cache_dir))
+    )
     try:
-        if options.no_cache:
-            entries = _load_files(options.paths)
-            raw = _raw_violations(entries, rules, profiler)
-        else:
-            entries, raw = _run_with_cache(
-                options.paths,
-                rules,
-                _cache.LintCache(pathlib.Path(options.cache_dir)),
-                profiler,
-            )
+        entries, raw = _analyze(options.paths, rules, store, profiler)
     except FileNotFoundError as exc:
         print(f"repro-lint: no such file or directory: {exc}", file=sys.stderr)
         return 2

@@ -479,7 +479,7 @@ class AsyncGraph:
         if info is None:
             return False
         for method in info.methods.values():
-            for node in ast.walk(method.node):
+            for node in self.project.walk(method.node):
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -528,7 +528,7 @@ class ReceiverTyper:
     def _constructed_locals(self) -> dict[str, ClassInfo]:
         classes: dict[str, ClassInfo] = {}
         conflicted: set[str] = set()
-        for stmt in ast.walk(self.node.func.node):
+        for stmt in self.project.walk(self.node.func.node):
             name: Optional[str] = None
             info: Optional[ClassInfo] = None
             if (
@@ -611,12 +611,12 @@ class _FunctionCollector:
         func = self.node.func.node
         self._mark_executor_exemptions(func)
         self._mark_lock_guards(func)
-        for stmt in ast.walk(func):
+        for stmt in self.project.walk(func):
             self._visit(stmt)
         return self.facts
 
     def _mark_lock_guards(self, func: AnyFunctionDef) -> None:
-        for stmt in ast.walk(func):
+        for stmt in self.project.walk(func):
             if not isinstance(stmt, ast.AsyncWith):
                 continue
             if not any(
@@ -625,11 +625,11 @@ class _FunctionCollector:
             ):
                 continue
             for body_stmt in stmt.body:
-                for sub in ast.walk(body_stmt):
+                for sub in self.project.walk(body_stmt):
                     self._guarded_ids.add(id(sub))
 
     def _mark_executor_exemptions(self, func: AnyFunctionDef) -> None:
-        for call in ast.walk(func):
+        for call in self.project.walk(func):
             if not isinstance(call, ast.Call):
                 continue
             dotted = self._dotted_target(call)
@@ -640,7 +640,7 @@ class _FunctionCollector:
             if not is_executor:
                 continue
             for arg in [*call.args, *[kw.value for kw in call.keywords]]:
-                for sub in ast.walk(arg):
+                for sub in self.project.walk(arg):
                     self._exempt.add(id(sub))
 
     def _dotted_target(self, call: ast.Call) -> Optional[str]:
@@ -794,7 +794,7 @@ class _FunctionCollector:
     def _local_used_after(self, assign: ast.stmt, name: str) -> bool:
         # Lexical position stands in for execution order here: a load
         # of the name anywhere in the function counts as a use.
-        for node in ast.walk(self.node.func.node):
+        for node in self.project.walk(self.node.func.node):
             if (
                 isinstance(node, ast.Name)
                 and node.id == name
@@ -889,7 +889,7 @@ class _FunctionCollector:
         """``while True`` with no suspension or exit never yields."""
         if not _is_constant_true(node.test):
             return
-        for sub in ast.walk(node):
+        for sub in self.project.walk(node):
             if isinstance(
                 sub,
                 (
@@ -1176,7 +1176,7 @@ class _ShallowCollector:
         self._seen: set[int] = set()
 
     def collect(self) -> list[AttrAccess]:
-        for sub in ast.walk(self.root):
+        for sub in self.owner.project.walk(self.root):
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if isinstance(sub, ast.Call):

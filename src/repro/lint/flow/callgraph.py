@@ -102,7 +102,7 @@ def build_call_graph(project: Project) -> CallGraph:
         graph.edges.setdefault(node.qualname, set())
     for node in graph.nodes.values():
         resolver = CallResolver(project, node)
-        for call in ast.walk(node.func.node):
+        for call in project.walk(node.func.node):
             if isinstance(call, ast.Call):
                 target = resolver.resolve(call)
                 if target is not None and target in graph.nodes:

@@ -35,6 +35,7 @@ from repro.lint.flow.units import (
     Dim,
 )
 from repro.lint.rules.base import FileContext
+from repro.lint.walk import Walker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.flow.asyncgraph import AsyncGraph
@@ -80,6 +81,9 @@ class Project:
         self._call_graph: Optional["CallGraph"] = None
         self._summaries: Optional["SummaryTable"] = None
         self._asyncgraph: Optional["AsyncGraph"] = None
+        #: The run's shared walker: every context of one run carries the
+        #: same one (see ``repro.lint.cli``).
+        self.walk: Walker = modules[0].ctx.walk if modules else Walker()
 
     @classmethod
     def build(cls, contexts: list[FileContext]) -> "Project":
@@ -90,7 +94,7 @@ class Project:
                 ModuleInfo(
                     name=name,
                     ctx=ctx,
-                    symbols=build_module_symbols(name, ctx.tree),
+                    symbols=build_module_symbols(name, ctx),
                 )
             )
         return cls(infos)

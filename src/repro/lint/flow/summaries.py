@@ -447,7 +447,7 @@ class _SummaryBuilder:
         table: Optional["SummaryTable"],
     ) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for node in ast.walk(expr):
+        for node in self.project.walk(expr):
             if isinstance(node, ast.Lambda) or not isinstance(node, ast.Call):
                 continue
             passed = self._rng_args_of(node, rng_params)
@@ -485,7 +485,7 @@ class _SummaryBuilder:
                         and base.id not in locals_bound
                     ):
                         out.append(GlobalWrite(base.id, stmt, "mutate"))
-            for expr in ast.walk(stmt):
+            for expr in self.project.walk(stmt):
                 if (
                     isinstance(expr, ast.Call)
                     and isinstance(expr.func, ast.Attribute)
@@ -528,7 +528,7 @@ class _SummaryBuilder:
                 if isinstance(stmt.target, ast.Name):
                     bound.add(stmt.target.id)
             elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                for name_node in ast.walk(stmt.target):
+                for name_node in self.project.walk(stmt.target):
                     if isinstance(name_node, ast.Name):
                         bound.add(name_node.id)
         return bound

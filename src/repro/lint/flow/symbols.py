@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.lint.flow.units import Dim
+from repro.lint.rules.base import FileContext
+from repro.lint.walk import Walker
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,10 @@ def _self_attr(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _collect_init_attrs(info: ClassInfo, init: FunctionInfo) -> None:
-    for stmt in ast.walk(init.node):
+def _collect_init_attrs(
+    info: ClassInfo, init: FunctionInfo, walk: Walker
+) -> None:
+    for stmt in walk(init.node):
         if isinstance(stmt, ast.AnnAssign):
             attr = _self_attr(stmt.target)
             if attr is not None and attr not in info.attr_ann:
@@ -167,7 +171,7 @@ def _collect_init_attrs(info: ClassInfo, init: FunctionInfo) -> None:
                             )
 
 
-def _class_info(node: ast.ClassDef, module: str) -> ClassInfo:
+def _class_info(node: ast.ClassDef, module: str, walk: Walker) -> ClassInfo:
     info = ClassInfo(
         name=node.name,
         qualname=f"{module}.{node.name}",
@@ -184,40 +188,18 @@ def _class_info(node: ast.ClassDef, module: str) -> ClassInfo:
             info.methods[stmt.name] = _function_info(stmt)
     init = info.methods.get("__init__")
     if init is not None:
-        _collect_init_attrs(info, init)
+        _collect_init_attrs(info, init, walk)
     return info
 
 
-def _module_imports(tree: ast.Module) -> dict[str, str]:
-    """Local name -> canonical dotted import target (absolute only)."""
-    imports: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname is not None:
-                    imports[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".", 1)[0]
-                    imports[root] = root
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or not node.module:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                imports[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return imports
-
-
-def build_module_symbols(name: str, tree: ast.Module) -> ModuleSymbols:
-    symbols = ModuleSymbols(name=name, imports=_module_imports(tree))
-    for stmt in tree.body:
+def build_module_symbols(name: str, ctx: FileContext) -> ModuleSymbols:
+    # The import table is the context's alias fact; both are read-only.
+    symbols = ModuleSymbols(name=name, imports=ctx.import_aliases)
+    for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             symbols.functions[stmt.name] = _function_info(stmt)
         elif isinstance(stmt, ast.ClassDef):
-            symbols.classes[stmt.name] = _class_info(stmt, name)
+            symbols.classes[stmt.name] = _class_info(stmt, name, ctx.walk)
         elif isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):

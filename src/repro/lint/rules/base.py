@@ -5,10 +5,12 @@ from __future__ import annotations
 import abc
 import ast
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar, Iterable, Optional
 
 from repro.lint.violations import Violation
+from repro.lint.walk import Walker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.flow.project import Project
@@ -21,12 +23,46 @@ class FileContext:
     ``display_path`` is the path as the user spelled it (relative paths
     stay relative so output is stable across machines); ``path`` is the
     resolved location used for sibling lookups (RL002's registry).
+
+    ``walk`` is the run's shared :class:`~repro.lint.walk.Walker`: rules
+    traverse with ``ctx.walk(node)``, never ``ast.walk``. Per-module
+    facts (``import_aliases``) are computed once per context.
     """
 
     path: pathlib.Path
     display_path: str
     source: str
     tree: ast.Module
+    walk: Walker = field(default_factory=Walker, compare=False, repr=False)
+
+    @cached_property
+    def import_aliases(self) -> dict[str, str]:
+        """Map local names to the canonical dotted path they import.
+
+        ``import numpy as np`` maps ``np -> numpy``; ``import
+        numpy.random`` maps ``numpy -> numpy``; ``from datetime import
+        datetime as dt`` maps ``dt -> datetime.datetime``. Relative
+        imports are skipped (the repo uses absolute imports throughout).
+        Shared by every caller in the run: treat it as read-only.
+        """
+        aliases: dict[str, str] = {}
+        for node in self.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname is not None:
+                        aliases[alias.asname] = alias.name
+                    else:
+                        root = alias.name.split(".", 1)[0]
+                        aliases[root] = root
+            elif isinstance(node, ast.ImportFrom):
+                if node.level or not node.module:
+                    continue
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    local = alias.asname or alias.name
+                    aliases[local] = f"{node.module}.{alias.name}"
+        return aliases
 
     @property
     def stem(self) -> str:
@@ -132,34 +168,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         return None
     parts.append(current.id)
     return ".".join(reversed(parts))
-
-
-def import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the canonical dotted path they import.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``import numpy.random``
-    maps ``numpy -> numpy``; ``from datetime import datetime as dt``
-    maps ``dt -> datetime.datetime``. Relative imports are skipped (the
-    repo uses absolute imports throughout).
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname is not None:
-                    aliases[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".", 1)[0]
-                    aliases[root] = root
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or not node.module:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
 
 
 def resolve_dotted(node: ast.AST, aliases: dict[str, str]) -> Optional[str]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.rules.base import FileContext, Rule, import_aliases, resolve_dotted
+from repro.lint.rules.base import FileContext, Rule, resolve_dotted
 from repro.lint.violations import Violation
 
 #: Directories whose code the rule polices in full.
@@ -100,12 +100,12 @@ class DeterminismRule(Rule):
         return ctx.in_dirs(ZONES + SERVICE_ZONES)
 
     def check(self, ctx: FileContext) -> list[Violation]:
-        aliases = import_aliases(ctx.tree)
+        aliases = ctx.import_aliases
         # The service zone keeps its wall clock and asyncio timers;
         # every other zone must stay on simulation time.
         clocked = not ctx.in_dirs(SERVICE_ZONES)
         out: list[Violation] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 self._check_import(ctx, node, clocked, out)
             elif isinstance(node, ast.ImportFrom):

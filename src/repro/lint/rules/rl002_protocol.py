@@ -73,8 +73,8 @@ def _registry_names(init_path: pathlib.Path) -> Optional[frozenset[str]]:
     return None
 
 
-def _imports_stochastic_toolkit(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
+def _imports_stochastic_toolkit(ctx: FileContext) -> bool:
+    for node in ctx.walk(ctx.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name in _STOCHASTIC_IMPORTS:
@@ -171,7 +171,7 @@ class ExperimentProtocolRule(Rule):
                         "no overrides",
                     )
                 )
-            if _imports_stochastic_toolkit(ctx.tree) and not _accepts_seed(run):
+            if _imports_stochastic_toolkit(ctx) and not _accepts_seed(run):
                 out.append(
                     ctx.violation(
                         run,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.rules.base import FileContext, Rule, import_aliases
+from repro.lint.rules.base import FileContext, Rule
 from repro.lint.violations import Violation
 
 #: Unit-constructing helpers exported by repro.core.units.
@@ -40,8 +40,8 @@ CORE_MATH_STEMS = frozenset({"formulas", "add_drop", "draining", "filling"})
 _UNITS_MODULE = "repro.core.units"
 
 
-def _imports_units(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
+def _imports_units(ctx: FileContext) -> bool:
+    for node in ctx.walk(ctx.tree):
         if isinstance(node, ast.Import):
             if any(alias.name == _UNITS_MODULE for alias in node.names):
                 return True
@@ -76,10 +76,10 @@ class UnitsDisciplineRule(Rule):
             return False
         if ctx.in_dirs(("core",)) and ctx.stem in CORE_MATH_STEMS:
             return True
-        return _imports_units(ctx.tree)
+        return _imports_units(ctx)
 
     def check(self, ctx: FileContext) -> list[Violation]:
-        aliases = import_aliases(ctx.tree)
+        aliases = ctx.import_aliases
         unit_names = {
             local
             for local, canonical in aliases.items()

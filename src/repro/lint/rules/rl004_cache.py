@@ -38,7 +38,7 @@ class CacheKeyHygieneRule(Rule):
 
     def check(self, ctx: FileContext) -> list[Violation]:
         out: list[Violation] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".", 1)[0] == "importlib":

@@ -422,7 +422,7 @@ class _ModuleChecker:
         mult: int,
         cls: Optional[ClassInfo],
     ) -> None:
-        for node in ast.walk(expr):
+        for node in self.ctx.walk(expr):
             if isinstance(node, ast.Call):
                 self._check_sink(node, env, registry, mult, cls)
 

@@ -59,14 +59,15 @@ def _is_hook_factory_call(node: ast.expr) -> bool:
     )
 
 
-def _hook_attrs_of_class(cls: ast.ClassDef) -> FrozenSet[str]:
-    """Attribute names the class binds from hook factories.
+def _hook_attrs_of_class(nodes: Sequence[ast.AST]) -> FrozenSet[str]:
+    """Attribute names a class (given as its walked nodes) binds from
+    hook factories.
 
     ``self._tx_hook = registry.counter_hook(...)`` anywhere in the class
     makes ``self._tx_hook`` a hook-valued attribute in *every* method.
     """
     attrs: set[str] = set()
-    for node in ast.walk(cls):
+    for node in nodes:
         value: Optional[ast.expr] = None
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -113,16 +114,18 @@ class TelemetryCostRule(FlowRule):
             # Pre-pass: which attributes hold factory-made hooks, per
             # enclosing class, so every method knows its hook attrs.
             attrs_of: dict[ast.FunctionDef, FrozenSet[str]] = {}
-            for node in ast.walk(info.ctx.tree):
+            walk = info.ctx.walk
+            for node in walk(info.ctx.tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
-                attrs = _hook_attrs_of_class(node)
+                class_nodes = walk(node)
+                attrs = _hook_attrs_of_class(class_nodes)
                 if not attrs:
                     continue
-                for sub in ast.walk(node):
+                for sub in class_nodes:
                     if isinstance(sub, ast.FunctionDef):
                         attrs_of[sub] = attrs_of.get(sub, frozenset()) | attrs
-            for node in ast.walk(info.ctx.tree):
+            for node in walk(info.ctx.tree):
                 if isinstance(node, ast.FunctionDef):
                     checker = _FunctionChecker(
                         self, info.ctx, attrs_of.get(node, frozenset()),
@@ -157,7 +160,7 @@ class _FunctionChecker:
         self._walk(func.body, frozenset())
 
     def _collect_hook_locals(self, func: ast.FunctionDef) -> None:
-        for node in ast.walk(func):
+        for node in self.ctx.walk(func):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node is not func:
                     continue
@@ -313,7 +316,7 @@ class _FunctionChecker:
         return None, True
 
     def _scan(self, expr: ast.expr, guarded: frozenset[str]) -> None:
-        for node in ast.walk(expr):
+        for node in self.ctx.walk(expr):
             if isinstance(node, ast.IfExp):
                 # handled coarsely: guards inside ternaries not tracked
                 continue

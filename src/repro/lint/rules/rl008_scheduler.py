@@ -19,11 +19,12 @@ itself is exempt: it is the implementation, not a call site.
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Sequence
 
 from repro.lint.flow.project import Project
 from repro.lint.rules.base import FileContext, FlowRule
 from repro.lint.violations import Violation
+from repro.lint.walk import walk
 
 _ENGINE_MODULE = "repro.sim.engine"
 _SCHEDULE_METHODS = {
@@ -73,17 +74,15 @@ class SchedulerTiebreakRule(FlowRule):
             if name == _ENGINE_MODULE:
                 continue
             info = project.modules[name]
-            tree = info.ctx.tree
-            for scope in ast.walk(tree):
+            ctx = info.ctx
+            for scope in ctx.walk(ctx.tree):
                 if not isinstance(scope, ast.FunctionDef):
                     continue
-                jittered = _rng_assigned_names(scope)
-                for node in ast.walk(scope):
+                jittered = _rng_assigned_names(ctx.walk(scope))
+                for node in ctx.walk(scope):
                     if not isinstance(node, ast.Call):
                         continue
-                    violation = self._check_call(
-                        info.ctx, node, jittered
-                    )
+                    violation = self._check_call(ctx, node, jittered)
                     if violation is not None:
                         out.append(violation)
         return out
@@ -113,10 +112,10 @@ class SchedulerTiebreakRule(FlowRule):
         )
 
 
-def _rng_assigned_names(scope: ast.FunctionDef) -> set[str]:
-    """Locals bound (anywhere in the function) from an RNG draw."""
+def _rng_assigned_names(nodes: Sequence[ast.AST]) -> set[str]:
+    """Locals bound (anywhere in the function walked) from an RNG draw."""
     names: set[str] = set()
-    for node in ast.walk(scope):
+    for node in nodes:
         if isinstance(node, ast.Assign):
             value, targets = node.value, node.targets
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -142,7 +141,7 @@ def _is_rng_draw(node: ast.expr) -> bool:
 
 
 def _flows_rng_draw(expr: ast.expr, jittered: set[str]) -> bool:
-    for node in ast.walk(expr):
+    for node in walk(expr):
         if _is_rng_draw(node):
             return True
         if isinstance(node, ast.Name) and node.id in jittered:

@@ -35,7 +35,7 @@ import ast
 from typing import ClassVar, Optional
 
 from repro.lint.flow.project import Project
-from repro.lint.rules.base import FlowRule, import_aliases, resolve_dotted
+from repro.lint.rules.base import FileContext, FlowRule, resolve_dotted
 from repro.lint.violations import Violation
 
 #: Call targets that construct a process pool.
@@ -79,11 +79,10 @@ class ProcessSafetyRule(FlowRule):
         entries: list[str] = []
         for name in sorted(project.modules):
             info = project.modules[name]
-            aliases = import_aliases(info.ctx.tree)
-            pools = _pool_locals(info.ctx.tree, aliases)
+            pools = _pool_locals(info.ctx)
             if not pools:
                 continue
-            for node in ast.walk(info.ctx.tree):
+            for node in info.ctx.walk(info.ctx.tree):
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -102,7 +101,7 @@ class ProcessSafetyRule(FlowRule):
                     ))
                     continue
                 if isinstance(task, ast.Name):
-                    if task.id in _nested_defs(info.ctx.tree, node):
+                    if task.id in _nested_defs(info.ctx, node):
                         out.append(info.ctx.violation(
                             task, self.code,
                             f"nested function '{task.id}' passed to "
@@ -170,10 +169,11 @@ class ProcessSafetyRule(FlowRule):
         return out
 
 
-def _pool_locals(tree: ast.Module, aliases: dict[str, str]) -> set[str]:
+def _pool_locals(ctx: FileContext) -> set[str]:
     """Names bound (assignment or ``with ... as``) to a process pool."""
+    aliases = ctx.import_aliases
     pools: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ctx.walk(ctx.tree):
         if isinstance(node, ast.Assign):
             if not _is_pool_ctor(node.value, aliases):
                 continue
@@ -197,18 +197,17 @@ def _is_pool_ctor(node: ast.expr, aliases: dict[str, str]) -> bool:
     return target in _POOL_CTORS
 
 
-def _nested_defs(tree: ast.Module, site: ast.AST) -> set[str]:
+def _nested_defs(ctx: FileContext, site: ast.AST) -> set[str]:
     """Function names defined inside the function enclosing ``site``."""
     enclosing: Optional[ast.FunctionDef] = None
-    for node in ast.walk(tree):
+    for node in ctx.walk(ctx.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for sub in ast.walk(node):
-                if sub is site:
-                    enclosing = node  # innermost wins: keep walking
+            if site in ctx.walk(node):
+                enclosing = node  # innermost wins: keep walking
     if enclosing is None:
         return set()
     out: set[str] = set()
-    for node in ast.walk(enclosing):
+    for node in ctx.walk(enclosing):
         if (
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and node is not enclosing

@@ -33,7 +33,7 @@ from repro.lint.flow.dataflow import FunctionAnalysis
 from repro.lint.flow.project import Project
 from repro.lint.flow.summaries import SummaryTable
 from repro.lint.flow.symbols import ClassInfo, FunctionInfo, TypeRef
-from repro.lint.rules.base import FlowRule
+from repro.lint.rules.base import FileContext, FlowRule
 from repro.lint.violations import Violation
 
 _ENGINE_MODULE = "repro.sim.engine"
@@ -171,7 +171,7 @@ class SimTimeRule(FlowRule):
             if name == _ENGINE_MODULE:
                 continue
             info = project.modules[name]
-            if not _has_schedule_call(info.ctx.tree):
+            if not _has_schedule_call(info.ctx):
                 continue
             jobs: list[tuple[FunctionInfo, Optional[ClassInfo]]] = [
                 (fn, None) for fn in info.symbols.functions.values()
@@ -195,8 +195,8 @@ class SimTimeRule(FlowRule):
         return out
 
 
-def _has_schedule_call(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
+def _has_schedule_call(ctx: FileContext) -> bool:
+    for node in ctx.walk(ctx.tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)

@@ -34,7 +34,7 @@ import ast
 from typing import ClassVar, Optional
 
 from repro.lint.flow.project import Project
-from repro.lint.rules.base import FileContext, FlowRule, import_aliases
+from repro.lint.rules.base import FileContext, FlowRule
 from repro.lint.violations import Violation
 
 _NARROW_DTYPES = frozenset({"float32", "float16", "half", "single"})
@@ -78,7 +78,7 @@ class NumpyDisciplineRule(FlowRule):
             if only is not None and name not in only:
                 continue
             info = project.modules[name]
-            aliases = import_aliases(info.ctx.tree)
+            aliases = info.ctx.import_aliases
             np_names = {
                 local for local, target in aliases.items()
                 if target == "numpy"
@@ -100,7 +100,7 @@ class _ModuleChecker:
         self.out: list[Violation] = []
 
     def run(self) -> list[Violation]:
-        for node in ast.walk(self.ctx.tree):
+        for node in self.ctx.walk(self.ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._check_function(node)
         self._check_global_patterns()
@@ -110,7 +110,7 @@ class _ModuleChecker:
 
     def _check_global_patterns(self) -> None:
         """Checks that need no local state: narrowing dtypes, NaN pads."""
-        for node in ast.walk(self.ctx.tree):
+        for node in self.ctx.walk(self.ctx.tree):
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
@@ -165,7 +165,7 @@ class _ModuleChecker:
 
     def _check_function(self, func: ast.FunctionDef) -> None:
         facts: dict[str, _ArrayFact] = {}
-        for stmt in ast.walk(func):
+        for stmt in self.ctx.walk(func):
             if isinstance(stmt, ast.Assign):
                 value, targets = stmt.value, stmt.targets
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
@@ -178,7 +178,7 @@ class _ModuleChecker:
             for target in targets:
                 if isinstance(target, ast.Name):
                     facts[target.id] = fact
-        for stmt in ast.walk(func):
+        for stmt in self.ctx.walk(func):
             if isinstance(stmt, ast.AugAssign):
                 self._check_aug(stmt, facts)
             elif isinstance(stmt, ast.Subscript):

@@ -97,7 +97,7 @@ class AsyncTaskHygieneRule(FlowRule):
                 continue
             node = graph.graph.nodes[qualname]
             ctx = project.modules[facts.module].ctx
-            for stmt in ast.walk(node.func.node):
+            for stmt in ctx.walk(node.func.node):
                 if not (
                     isinstance(stmt, ast.Expr)
                     and isinstance(stmt.value, ast.Call)

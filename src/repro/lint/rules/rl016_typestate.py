@@ -124,7 +124,7 @@ def _transport_readers(project: Project) -> set[str]:
     typers = {n.qualname: ReceiverTyper(project, n) for n in nodes}
     for node in nodes:
         typer = typers[node.qualname]
-        for sub in ast.walk(node.func.node):
+        for sub in project.walk(node.func.node):
             if (
                 isinstance(sub, ast.Attribute)
                 and sub.attr in _TRANSPORT_PROPS
@@ -140,7 +140,7 @@ def _transport_readers(project: Project) -> set[str]:
             if node.qualname in readers:
                 continue
             resolver = CallResolver(project, node)
-            for sub in ast.walk(node.func.node):
+            for sub in project.walk(node.func.node):
                 if not isinstance(sub, ast.Call):
                     continue
                 target = resolver.resolve(sub)
@@ -232,7 +232,7 @@ class _FunctionScan:
 
     def _teardowns_in(self, stmt: ast.stmt) -> list[str]:
         out: list[str] = []
-        for sub in ast.walk(stmt):
+        for sub in self.project.walk(stmt):
             if (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
@@ -255,7 +255,7 @@ class _FunctionScan:
     def _check_uses(self, stmt: ast.AST, dead: set[str]) -> None:
         if not dead:
             return
-        for sub in ast.walk(stmt):
+        for sub in self.project.walk(stmt):
             if isinstance(sub, ast.Call):
                 self._check_call(sub, dead)
             elif (
@@ -305,7 +305,7 @@ class _FunctionScan:
         """Locals holding a ``SessionTape()`` used only by ``replay``."""
         func = self.node.func.node
         candidates: dict[str, ast.Call] = {}
-        for stmt in ast.walk(func):
+        for stmt in self.project.walk(func):
             if not (
                 isinstance(stmt, ast.Assign)
                 and len(stmt.targets) == 1
@@ -321,7 +321,7 @@ class _FunctionScan:
         if not candidates:
             return
         replay_args: set[str] = set()
-        for sub in ast.walk(func):
+        for sub in self.project.walk(func):
             if (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
@@ -334,7 +334,7 @@ class _FunctionScan:
         unrecorded: set[str] = set()
         for name in candidates:
             uses = 0
-            for sub in ast.walk(func):
+            for sub in self.project.walk(func):
                 if (
                     isinstance(sub, ast.Name)
                     and sub.id == name

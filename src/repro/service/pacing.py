@@ -95,6 +95,7 @@ class RapPacer:
         self.timeouts = 0
         self.packets_lost = 0
         self.acks_received = 0
+        self.rejected_acks = 0
 
         self._next_send = now
         self._next_step = now + self.srtt
@@ -180,7 +181,15 @@ class RapPacer:
 
     def on_ack(self, seq: int, echo_ts: Optional[float],
                now: float) -> PacerActions:
-        """An ACK arrived; returns deliveries/losses/backoff it caused."""
+        """An ACK arrived; returns deliveries/losses/backoff it caused.
+
+        An ACK for a sequence number never sent is rejected (and counted
+        in ``rejected_acks``) before it touches any state: believing it
+        would push the loss horizon past every packet in flight.
+        """
+        if not 0 <= seq < self.next_seq:
+            self.rejected_acks += 1
+            return PacerActions()
         actions = PacerActions()
         self.acks_received += 1
         self.last_ack_time = now

@@ -1,5 +1,7 @@
 """The sans-IO RAP pacer under a scripted clock."""
 
+from collections import deque
+
 import pytest
 
 from repro.service.pacing import RapPacer
@@ -132,6 +134,47 @@ class TestFeedback:
         pacer.register_send(0.0, {"layer": 0}, 500)
         pacer.on_ack(0, echo_ts=5.0, now=0.1)  # skewed echo
         assert pacer.srtt == pytest.approx(0.2)
+
+
+class TestForgedAcks:
+    """An ACK for a sequence number never sent must not move any state."""
+
+    def test_ack_beyond_next_seq_is_rejected(self):
+        # Three packets in flight, one forged ACK, then 50 packets each
+        # ACKed cleanly three sends later.
+        pacer = make(initial_rate=5000.0)
+        now = 0.0
+        in_flight = deque()
+        for _ in range(3):
+            in_flight.append(pacer.register_send(now, {"layer": 0}, 500))
+            now += 0.01
+        lost = len(pacer.on_ack(10**9, None, now).lost)
+        acked = 0
+        for _ in range(50):
+            in_flight.append(pacer.register_send(now, {"layer": 0}, 500))
+            seq = in_flight.popleft()
+            actions = pacer.on_ack(seq, echo_ts=now - 0.02, now=now + 0.01)
+            acked += len(actions.acked)
+            lost += len(actions.lost)
+            now += 0.01
+        assert (lost, pacer.backoffs) == (0, 0)
+        assert acked == 50
+        assert pacer.rate == 5000.0
+        assert pacer.highest_acked == 49
+        assert pacer.rejected_acks == 1
+
+    @pytest.mark.parametrize("seq", [-1, 3])
+    def test_negative_and_unsent_seqs_are_rejected(self, seq):
+        pacer = make()
+        for _ in range(3):
+            pacer.register_send(0.0, {"layer": 0}, 500)
+        before = (pacer.srtt, pacer.last_ack_time, dict(pacer.outstanding))
+        assert not pacer.on_ack(seq, echo_ts=0.0, now=0.1)
+        assert (pacer.srtt, pacer.last_ack_time,
+                dict(pacer.outstanding)) == before
+        assert pacer.highest_acked == -1
+        assert pacer.acks_received == 0
+        assert pacer.rejected_acks == 1
 
 
 class TestValidation:
